@@ -84,6 +84,60 @@ BM_GpFitPredict(benchmark::State &state)
 }
 BENCHMARK(BM_GpFitPredict)->Arg(64)->Arg(128)->Arg(192);
 
+/** A GP fit on n random 4-D points and BO's 641 acquisition
+ *  candidates per iteration. */
+struct PosteriorFixture
+{
+    GaussianProcess gp;
+    std::vector<std::vector<double>> candidates;
+
+    explicit PosteriorFixture(std::size_t n)
+    {
+        Rng rng(8);
+        std::vector<std::vector<double>> xs;
+        std::vector<double> ys;
+        for (std::size_t i = 0; i < n; ++i) {
+            xs.push_back({rng.uniform(), rng.uniform(), rng.uniform(),
+                          rng.uniform()});
+            ys.push_back(rng.normal());
+        }
+        gp.fit(xs, ys);
+        for (int c = 0; c < 641; ++c)
+            candidates.push_back({rng.uniform(), rng.uniform(),
+                                  rng.uniform(), rng.uniform()});
+    }
+};
+
+/** Posterior cost per candidate, one predict() call per point. */
+void
+BM_GpPosteriorPerPoint(benchmark::State &state)
+{
+    const PosteriorFixture f(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        double acc = 0.0;
+        for (const auto &x : f.candidates)
+            acc += f.gp.predict(x).var;
+        benchmark::DoNotOptimize(acc);
+    }
+    state.SetItemsProcessed(state.iterations() * f.candidates.size());
+}
+BENCHMARK(BM_GpPosteriorPerPoint)->Arg(192);
+
+/** Posterior cost per candidate, all 641 in one predictBatch(). */
+void
+BM_GpPosteriorBatch(benchmark::State &state)
+{
+    const PosteriorFixture f(static_cast<std::size_t>(state.range(0)));
+    std::vector<GaussianProcess::Prediction> out(f.candidates.size());
+    for (auto _ : state) {
+        f.gp.predictBatch(f.candidates, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * f.candidates.size());
+}
+BENCHMARK(BM_GpPosteriorBatch)->Arg(192);
+
 void
 BM_SchedulerOneShot(benchmark::State &state)
 {

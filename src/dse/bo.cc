@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/atomic_io.hh"
 #include "util/fault.hh"
@@ -298,11 +299,11 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             instrument ? metrics::monotonicNowNs() : 0;
         // Acquisition: random + local candidates, take the best EI.
         // Candidates are drawn serially (the rng stream must not
-        // depend on the worker count); their EI scores are
-        // independent GP predictions, so they fan out across the
-        // pool. The winner scan below replicates the serial
-        // first-strict-improvement rule, so the selected candidate
-        // is identical either way.
+        // depend on the worker count); their posteriors are scored in
+        // GP blocks that fan out across the pool, and a point's
+        // posterior is bitwise independent of its block. The winner
+        // scan below replicates the serial first-strict-improvement
+        // rule, so the selected candidate is identical either way.
         const std::vector<double> incumbent = trace.bestPoint();
         std::vector<std::vector<double>> candidates;
         candidates.reserve(1 + options_.uniformCandidates +
@@ -324,17 +325,27 @@ BayesOpt::continueRun(Objective &objective, SearchTrace &trace,
             }
         }
 
+        // Candidate 0 is the unscored fallback.
+        const std::span<const std::vector<double>> scored(
+            candidates.data() + 1, candidates.size() - 1);
+        std::vector<GaussianProcess::Prediction> preds(scored.size());
         std::vector<double> eis(candidates.size(), -1.0);
-        auto score = [&](std::size_t i) {
-            eis[i] = expectedImprovement(gp.predict(candidates[i]),
-                                         best_finite);
+        const std::size_t block = GaussianProcess::kPredictBlock;
+        auto score_block = [&](std::size_t b) {
+            const std::size_t begin = b * block;
+            const std::size_t count =
+                std::min(block, scored.size() - begin);
+            gp.predictBatch(scored.subspan(begin, count),
+                            std::span(preds).subspan(begin, count));
+            for (std::size_t i = begin; i < begin + count; ++i)
+                eis[i + 1] = expectedImprovement(preds[i], best_finite);
         };
+        const std::size_t blocks = (scored.size() + block - 1) / block;
         if (pool) {
-            pool->parallelFor(candidates.size() - 1,
-                              [&](std::size_t i) { score(i + 1); });
+            pool->parallelFor(blocks, score_block);
         } else {
-            for (std::size_t i = 1; i < candidates.size(); ++i)
-                score(i);
+            for (std::size_t b = 0; b < blocks; ++b)
+                score_block(b);
         }
 
         std::size_t best_idx = 0;

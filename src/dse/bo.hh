@@ -69,8 +69,9 @@ class BayesOpt
      * @param rng seeded generator.
      * @param pool optional worker pool: fans out warm-up evaluations
      *        (when the objective is threadSafeEvaluate()) and the
-     *        per-iteration acquisition candidate scoring (GP
-     *        predictions are const and always safe to fan out).
+     *        per-iteration acquisition scoring, one GP posterior
+     *        block per task (predictions are const and always safe
+     *        to fan out).
      * @param checkpoint optional snapshot config: resume from an
      *        existing snapshot (trace, rng, GP hyperparameters,
      *        refit counter) and write one every `every` iterations.

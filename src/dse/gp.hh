@@ -11,6 +11,8 @@
 #ifndef VAESA_DSE_GP_HH
 #define VAESA_DSE_GP_HH
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "tensor/matrix.hh"
@@ -58,7 +60,22 @@ class GaussianProcess
         double var;
     };
 
-    /** Predict at one point. Requires a prior fit(). */
+    /** Points scored per posterior block: the unit of work BayesOpt
+     *  fans out across its pool. */
+    static constexpr std::size_t kPredictBlock = 64;
+
+    /**
+     * Posterior at a batch of points: out[c] for xs[c]. Requires a
+     * prior fit(). Points are scored kPredictBlock at a time: K* for
+     * the block, the mean, one multi-right-hand-side forward solve and
+     * the variance terms, vectorized across points while every point
+     * keeps its own k-ascending op order. A point's result is
+     * therefore bitwise independent of the batch it rides in.
+     */
+    void predictBatch(std::span<const std::vector<double>> xs,
+                      std::span<Prediction> out) const;
+
+    /** Predict at one point: a predictBatch() of one. */
     Prediction predict(const std::vector<double> &x) const;
 
     /** Log marginal likelihood of the last fit (standardized y). */
@@ -66,7 +83,9 @@ class GaussianProcess
 
     /**
      * Pick hyperparameters by grid-searching lengthscale x noise for
-     * the maximum log marginal likelihood, then refit with the winner.
+     * the maximum log marginal likelihood and keep the winner's fit.
+     * The kernel matrix is built once per lengthscale; the noise
+     * levels only change its diagonal.
      */
     void fitWithHyperSearch(const std::vector<std::vector<double>> &xs,
                             const std::vector<double> &ys);
@@ -81,12 +100,24 @@ class GaussianProcess
     std::size_t sampleCount() const { return xs_.size(); }
 
   private:
-    double kernelValue(const std::vector<double> &a,
-                       const std::vector<double> &b) const;
+    /** Validate and store the observations; standardize ys. */
+    void setData(const std::vector<std::vector<double>> &xs,
+                 const std::vector<double> &ys);
+
+    /** Map count squared distances to kernel values in place (unit
+     *  signal variance). */
+    void applyKernel(double *d2, std::size_t count) const;
+
+    /** Noise-free kernel matrix of the stored inputs. */
+    Matrix kernelMatrix() const;
+
+    /** Factor k + noiseVar I; set alpha and the log likelihood. */
+    void factorize(Matrix k);
 
     Kernel kernel_;
     Hyper hyper_;
     std::vector<std::vector<double>> xs_;
+    std::vector<double> yStandardized_;
     std::vector<double> alpha_;
     Matrix choleskyLower_;
     double yMean_ = 0.0;

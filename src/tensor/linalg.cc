@@ -12,38 +12,76 @@ cholesky(const Matrix &a, Matrix &lower)
     if (a.rows() != a.cols())
         panic("cholesky requires a square matrix");
     const std::size_t n = a.rows();
-    lower = Matrix(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j <= i; ++j) {
-            double acc = a(i, j);
-            for (std::size_t k = 0; k < j; ++k)
-                acc -= lower(i, k) * lower(j, k);
-            if (i == j) {
-                if (acc <= 0.0 || !std::isfinite(acc))
-                    return false;
-                lower(i, i) = std::sqrt(acc);
-            } else {
-                lower(i, j) = acc / lower(j, j);
-            }
+    // Left-looking and column-ordered: column j of L is accumulated
+    // for all its rows i >= j together, in lt's row j (the factor is
+    // built transposed so one column's rows are contiguous and the
+    // row loop vectorizes). Each L(i,j) still starts from a(i,j),
+    // subtracts L(i,k) L(j,k) in k-ascending order and divides by
+    // L(j,j): the op sequence of the textbook row-by-row loop, so the
+    // factor is bitwise equal to it and the first non-positive or
+    // non-finite pivot is the same one.
+    std::vector<double> lt(n * n, 0.0); // lt[j * n + i] = L(i, j)
+    const double *pa = a.data();
+    for (std::size_t j = 0; j < n; ++j) {
+        double *col = lt.data() + j * n;
+        for (std::size_t i = j; i < n; ++i)
+            col[i] = pa[i * n + j];
+        for (std::size_t k = 0; k < j; ++k) {
+            const double *colk = lt.data() + k * n;
+            const double ljk = colk[j];
+            for (std::size_t i = j; i < n; ++i)
+                col[i] -= colk[i] * ljk;
         }
+        if (col[j] <= 0.0 || !std::isfinite(col[j]))
+            return false;
+        const double ljj = std::sqrt(col[j]);
+        col[j] = ljj;
+        for (std::size_t i = j + 1; i < n; ++i)
+            col[i] /= ljj;
     }
+    lower = Matrix(n, n);
+    double *pl = lower.data();
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t i = j; i < n; ++i)
+            pl[i * n + j] = lt[j * n + i];
     return true;
+}
+
+void
+solveLowerInPlace(const Matrix &lower, Matrix &b)
+{
+    const std::size_t n = lower.rows();
+    if (lower.cols() != n || b.rows() != n)
+        panic("solveLowerInPlace dimension mismatch");
+    const std::size_t m = b.cols();
+    const double *pl = lower.data();
+    double *pb = b.data();
+    // Row i of the result subtracts L(i,k) y_k for k ascending, then
+    // divides by L(i,i): solveLower's op order for every column. The
+    // columns are independent, so the c loops vectorize across them.
+    for (std::size_t i = 0; i < n; ++i) {
+        const double *li = pl + i * n;
+        double *__restrict__ yi = pb + i * m;
+        for (std::size_t k = 0; k < i; ++k) {
+            const double lik = li[k];
+            const double *__restrict__ yk = pb + k * m;
+            for (std::size_t c = 0; c < m; ++c)
+                yi[c] -= lik * yk[c];
+        }
+        const double lii = li[i];
+        for (std::size_t c = 0; c < m; ++c)
+            yi[c] /= lii;
+    }
 }
 
 std::vector<double>
 solveLower(const Matrix &lower, const std::vector<double> &b)
 {
-    const std::size_t n = lower.rows();
-    if (b.size() != n)
+    if (b.size() != lower.rows())
         panic("solveLower dimension mismatch");
-    std::vector<double> y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
-        for (std::size_t k = 0; k < i; ++k)
-            acc -= lower(i, k) * y[k];
-        y[i] = acc / lower(i, i);
-    }
-    return y;
+    Matrix y(b.size(), 1, b);
+    solveLowerInPlace(lower, y);
+    return {y.data(), y.data() + b.size()};
 }
 
 std::vector<double>

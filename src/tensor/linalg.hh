@@ -15,15 +15,34 @@
 namespace vaesa {
 
 /**
- * Cholesky factor of a symmetric positive-definite matrix.
+ * Cholesky factor of a symmetric positive-definite matrix. Only the
+ * lower triangle of a is read.
+ *
+ * Every L(i,j) is a(i,j) minus L(i,k) L(j,k) summed in k-ascending
+ * order, divided by L(j,j) (or square-rooted on the diagonal), so the
+ * factor is bitwise reproducible across builds that do not contract
+ * the multiply-subtract into an FMA (linalg.cc is built with
+ * -ffp-contract=off).
  *
  * @param a square SPD matrix.
- * @param lower output: lower-triangular L with a = L L^T.
- * @return true on success, false if a is not (numerically) SPD.
+ * @param lower output: lower-triangular L with a = L L^T; unspecified
+ *        on failure.
+ * @return true on success, false at the first pivot that is not
+ *         positive and finite (a is not numerically SPD, or holds a
+ *         NaN/Inf).
  */
 bool cholesky(const Matrix &a, Matrix &lower);
 
-/** Solve L y = b for lower-triangular L (forward substitution). */
+/**
+ * Forward substitution for many right-hand sides at once, in place:
+ * b (n x m, one right-hand side per column) becomes L^{-1} b. Each
+ * column gets exactly solveLower's op order (k-ascending, no FMA), so
+ * a column's result does not depend on how many columns ride along.
+ */
+void solveLowerInPlace(const Matrix &lower, Matrix &b);
+
+/** Solve L y = b for lower-triangular L (forward substitution): a
+ *  solveLowerInPlace() of one column. */
 std::vector<double> solveLower(const Matrix &lower,
                                const std::vector<double> &b);
 

@@ -9,10 +9,10 @@
  * subsystem otherwise only surfaces three subsystems later as a flat
  * BO curve, so these checks fail fast where the bad value is born.
  *
- * The checks compile to ((void)0) unless the translation unit is
- * built with VAESA_CHECKS=1 (the `VAESA_CHECKS` CMake option; ON by
- * default in Debug and in the sanitizer presets, OFF in plain
- * Release). A violation throws ContractViolation rather than
+ * The checks compile to unevaluated no-ops unless the translation
+ * unit is built with VAESA_CHECKS=1 (the `VAESA_CHECKS` CMake
+ * option; ON by default in Debug and in the sanitizer presets, OFF in
+ * plain Release). A violation throws ContractViolation rather than
  * aborting, so a long-running server can catch it at the request
  * boundary and fail one request instead of the process; uncaught it
  * still terminates loudly like panic().
@@ -126,10 +126,22 @@ allFinite(const M &m)
 
 #else
 
-#define VAESA_EXPECT(cond, ...) ((void)0)
-#define VAESA_ENSURE(cond, ...) ((void)0)
-#define VAESA_CHECK_FINITE(value, ...) ((void)0)
-#define VAESA_CHECK_FINITE_ALL(matrix, ...) ((void)0)
+// Disabled checks name their arguments only inside sizeof, which
+// never evaluates its operand: nothing runs, yet a variable that
+// exists only to be checked does not trip -Wunused-variable in
+// Release -Werror builds.
+#define VAESA_CONTRACT_UNEVALUATED_(expr, ...)                          \
+    ((void)sizeof(expr),                                                \
+     (void)sizeof(::vaesa::detail::concat("" __VA_OPT__(, ) __VA_ARGS__)))
+
+#define VAESA_EXPECT(cond, ...)                                         \
+    VAESA_CONTRACT_UNEVALUATED_(cond, __VA_ARGS__)
+#define VAESA_ENSURE(cond, ...)                                         \
+    VAESA_CONTRACT_UNEVALUATED_(cond, __VA_ARGS__)
+#define VAESA_CHECK_FINITE(value, ...)                                  \
+    VAESA_CONTRACT_UNEVALUATED_(value, __VA_ARGS__)
+#define VAESA_CHECK_FINITE_ALL(matrix, ...)                             \
+    VAESA_CONTRACT_UNEVALUATED_(matrix, __VA_ARGS__)
 
 #endif // VAESA_CHECKS
 

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstddef>
 #include <future>
+#include <latch>
 #include <string>
 #include <vector>
 
@@ -123,11 +124,16 @@ TEST_F(ScoreBatcherTest, ConcurrentCallersCoalesceIntoOneBatch)
     metrics::Counter &batches = metrics::counter("serve.batches");
     const std::uint64_t batchesBefore = batches.value();
 
+    // The clients meet at an arrival barrier and call score() together,
+    // so the coalescing window sees one wavefront however late the pool
+    // started any client thread.
     ThreadPool clients(kClients);
+    std::latch arrived(kClients);
     std::vector<EvalResult> got(kClients);
     std::vector<std::future<void>> replies;
     for (std::size_t i = 0; i < kClients; ++i)
         replies.push_back(clients.submit([&, i] {
+            arrived.arrive_and_wait();
             got[i] = batcher.score("alexnet", alexnet.layers,
                                    configs[i], nullptr);
         }));
@@ -139,8 +145,8 @@ TEST_F(ScoreBatcherTest, ConcurrentCallersCoalesceIntoOneBatch)
     evalPool.shutdown();
 
     // All four callers were answered by one (at most two, if a
-    // client thread was scheduled late) coalesced dispatch, not
-    // four per-request ones.
+    // client was descheduled between the barrier and score())
+    // coalesced dispatch, not four per-request ones.
     const std::uint64_t dispatched =
         batches.value() - batchesBefore;
     EXPECT_GE(dispatched, 1u);

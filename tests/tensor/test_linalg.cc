@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "tensor/linalg.hh"
 #include "util/rng.hh"
@@ -20,6 +23,204 @@ randomSpd(std::size_t n, Rng &rng)
     for (std::size_t i = 0; i < n; ++i)
         a(i, i) += static_cast<double>(n);
     return a;
+}
+
+/**
+ * Oracle: the textbook row-by-row Cholesky (row i, then j <= i, each
+ * L(i,j) summing k ascending). The column-ordered cholesky() in src/
+ * must reproduce it bit for bit, including where it fails.
+ */
+bool
+referenceCholesky(const Matrix &a, Matrix &lower)
+{
+    const std::size_t n = a.rows();
+    lower = Matrix(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+            double acc = a(i, j);
+            for (std::size_t k = 0; k < j; ++k)
+                acc -= lower(i, k) * lower(j, k);
+            if (i == j) {
+                if (acc <= 0.0 || !std::isfinite(acc))
+                    return false;
+                lower(i, i) = std::sqrt(acc);
+            } else {
+                lower(i, j) = acc / lower(j, j);
+            }
+        }
+    }
+    return true;
+}
+
+/** Oracle: choleskyJittered's decade jitter ladder over the reference
+ *  factorization; returns the jitter, or -1 when every step fails. */
+double
+referenceJittered(const Matrix &a, Matrix &lower)
+{
+    const std::size_t n = a.rows();
+    double diag_mean = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        diag_mean += a(i, i);
+    diag_mean = n ? diag_mean / static_cast<double>(n) : 1.0;
+    if (diag_mean <= 0.0)
+        diag_mean = 1.0;
+    double jitter = 0.0;
+    for (int attempt = 0; attempt < 12; ++attempt) {
+        Matrix work = a;
+        if (jitter > 0.0)
+            for (std::size_t i = 0; i < n; ++i)
+                work(i, i) += jitter;
+        if (referenceCholesky(work, lower))
+            return jitter;
+        jitter = (jitter == 0.0) ? 1e-10 * diag_mean : jitter * 10.0;
+    }
+    return -1.0;
+}
+
+/** Oracle: scalar forward substitution, k ascending. */
+std::vector<double>
+referenceSolveLower(const Matrix &lower, const std::vector<double> &b)
+{
+    const std::size_t n = lower.rows();
+    std::vector<double> y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = b[i];
+        for (std::size_t k = 0; k < i; ++k)
+            acc -= lower(i, k) * y[k];
+        y[i] = acc / lower(i, i);
+    }
+    return y;
+}
+
+void
+expectSameBits(const Matrix &a, const Matrix &b)
+{
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.data()[i]),
+                  std::bit_cast<std::uint64_t>(b.data()[i]))
+            << "element " << i << ": " << a.data()[i] << " vs "
+            << b.data()[i];
+}
+
+/** A GP-style Matern-like kernel matrix over random 4-D points, with
+ *  a duplicated point so it is near-singular without noise. */
+Matrix
+kernelLikeMatrix(std::size_t n, Rng &rng, double noise)
+{
+    std::vector<std::vector<double>> xs(n);
+    for (auto &x : xs)
+        x = {rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()};
+    if (n > 2)
+        xs[n - 1] = xs[0];
+    Matrix k(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j)
+            k(i, j) = std::exp(-std::sqrt(squaredDistance(xs[i], xs[j])) /
+                               0.3);
+        k(i, i) += noise;
+    }
+    return k;
+}
+
+TEST(Linalg, CholeskyMatchesRowMajorReferenceBitwise)
+{
+    Rng rng(11);
+    for (std::size_t n : {1u, 2u, 3u, 7u, 16u, 33u, 64u, 192u}) {
+        SCOPED_TRACE(n);
+        const Matrix a = randomSpd(n, rng);
+        Matrix got;
+        Matrix want;
+        ASSERT_TRUE(referenceCholesky(a, want));
+        ASSERT_TRUE(cholesky(a, got));
+        expectSameBits(got, want);
+
+        const Matrix k = kernelLikeMatrix(n, rng, 1e-6);
+        const bool ok = cholesky(k, got);
+        ASSERT_EQ(ok, referenceCholesky(k, want));
+        if (ok)
+            expectSameBits(got, want);
+    }
+}
+
+TEST(Linalg, CholeskyFailsExactlyWhereReferenceFails)
+{
+    Rng rng(12);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<Matrix> cases;
+    cases.push_back(Matrix(2, 2, {1.0, 2.0, 2.0, 1.0})); // indefinite
+    cases.push_back(Matrix(3, 3, 1.0));                  // singular
+    cases.push_back(Matrix(2, 2, {-1.0, 0.0, 0.0, 1.0}));
+    for (std::size_t pos : {0u, 5u, 17u, 42u, 63u}) {
+        for (double bad : {nan, inf, -inf}) {
+            Matrix a = randomSpd(8, rng);
+            a.data()[pos] = bad; // lower, diagonal or upper triangle
+            cases.push_back(a);
+        }
+    }
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        Matrix got;
+        Matrix want;
+        const bool ok = referenceCholesky(cases[c], want);
+        EXPECT_EQ(cholesky(cases[c], got), ok) << "case " << c;
+        if (ok)
+            expectSameBits(got, want);
+    }
+}
+
+TEST(Linalg, JitterLadderMatchesReference)
+{
+    Rng rng(13);
+    std::vector<Matrix> cases;
+    cases.push_back(Matrix(3, 3, 1.0));
+    for (std::size_t n : {3u, 24u, 96u})
+        cases.push_back(kernelLikeMatrix(n, rng, 0.0));
+    cases.push_back(randomSpd(10, rng));
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        SCOPED_TRACE(c);
+        Matrix got;
+        Matrix want;
+        const double want_jitter = referenceJittered(cases[c], want);
+        ASSERT_GE(want_jitter, 0.0);
+        EXPECT_EQ(choleskyJittered(cases[c], got), want_jitter);
+        expectSameBits(got, want);
+    }
+}
+
+TEST(Linalg, MultiRhsSolveMatchesPerColumnSolveBitwise)
+{
+    Rng rng(14);
+    for (std::size_t n : {1u, 5u, 40u, 192u}) {
+        Matrix lower;
+        ASSERT_TRUE(cholesky(randomSpd(n, rng), lower));
+        for (std::size_t m : {1u, 2u, 3u, 17u, 64u}) {
+            SCOPED_TRACE(::testing::Message() << n << "x" << m);
+            Matrix b(n, m);
+            b.randomNormal(rng, 0.0, 1.0);
+            Matrix y = b;
+            solveLowerInPlace(lower, y);
+            for (std::size_t c = 0; c < m; ++c) {
+                std::vector<double> col(n);
+                for (std::size_t i = 0; i < n; ++i)
+                    col[i] = b(i, c);
+                const std::vector<double> want =
+                    referenceSolveLower(lower, col);
+                const std::vector<double> single = solveLower(lower, col);
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(y(i, c)),
+                              std::bit_cast<std::uint64_t>(want[i]));
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(single[i]),
+                              std::bit_cast<std::uint64_t>(want[i]));
+                }
+            }
+        }
+    }
+    Matrix lower;
+    ASSERT_TRUE(cholesky(randomSpd(3, rng), lower));
+    Matrix wrong(4, 2);
+    EXPECT_DEATH(solveLowerInPlace(lower, wrong), "mismatch");
 }
 
 TEST(Linalg, CholeskyOfIdentity)
