@@ -9,7 +9,10 @@
  * Shapes are (m, k, n) of the linearForward orientation
  * C(m x n) = A(m x k) * B(n x k)^T, i.e. batch x fan_in x fan_out.
  * The "dW" rows time the weight-gradient orientation
- * C(n x k) = G(m x n)^T * A(m x k) of the same layers.
+ * C(n x k) = G(m x n)^T * A(m x k) of the same layers. The "dX" rows
+ * time the input-gradient orientation C(m x n) = G(m x k) * W(k x n)
+ * (Linear::backward's dIn = gradOut * W), labelled by the GEMM's own
+ * m x k x n: batch x fan_out x fan_in.
  *
  * The acceptance bar is the geometric-mean single-thread speedup over
  * the compute-bound training shapes (k >= 64, where register tiling
@@ -40,22 +43,51 @@ namespace {
 
 using namespace vaesa;
 
+/** GEMM orientation a shape row times. */
+enum class Orientation
+{
+    TransB, // forward: C = A * B^T
+    TransA, // weight gradient: C = A^T * B
+    Plain,  // input gradient: C = A * B
+};
+
+const char *
+orientationName(Orientation o)
+{
+    switch (o) {
+    case Orientation::TransB:
+        return "transB";
+    case Orientation::TransA:
+        return "transA";
+    case Orientation::Plain:
+        return "plain";
+    }
+    return "?";
+}
+
 struct Shape
 {
     const char *label;
     std::size_t m, k, n;
-    bool transA;  // weight-gradient orientation
-    bool gated;   // counts toward the speedup target
+    Orientation orientation;
+    bool gated; // counts toward the speedup target
 };
 
 /** One multiply of the shape under the currently selected kernel. */
 double
 runOnce(const Shape &s, const Matrix &a, const Matrix &b, Matrix &c)
 {
-    if (s.transA)
-        Matrix::multiplyTransAInto(a, b, c);
-    else
+    switch (s.orientation) {
+    case Orientation::TransB:
         Matrix::multiplyTransBInto(a, b, c);
+        break;
+    case Orientation::TransA:
+        Matrix::multiplyTransAInto(a, b, c);
+        break;
+    case Orientation::Plain:
+        Matrix::multiplyInto(a, b, c);
+        break;
+    }
     return c(0, 0);
 }
 
@@ -102,17 +134,23 @@ main()
         static_cast<double>(envInt("VAESA_GEMM_MS", 40));
 
     // Figure 11 training pipeline at batch 64 (see file comment),
-    // plus the one-shot dataset encode. transA rows are the dW
-    // gradients of the widest layers.
+    // plus the one-shot dataset encode. dW and dX rows are the
+    // weight and input gradients of the widest layers.
+    constexpr auto kFwd = Orientation::TransB;
+    constexpr auto kDW = Orientation::TransA;
+    constexpr auto kDX = Orientation::Plain;
     const std::vector<Shape> shapes = {
-        {"enc.in    64x6x128", 64, 6, 128, false, false},
-        {"enc.h1    64x128x64", 64, 128, 64, false, true},
-        {"dec.h1    64x64x128", 64, 64, 128, false, true},
-        {"dec.out   64x128x6", 64, 128, 6, false, false},
-        {"pred.h1   64x64x64", 64, 64, 64, false, true},
-        {"dW.enc.h1 64x128x64", 64, 128, 64, true, true},
-        {"dW.dec.h1 64x64x128", 64, 64, 128, true, true},
-        {"encode.ds 2500x6x128", 2500, 6, 128, false, false},
+        {"enc.in    64x6x128", 64, 6, 128, kFwd, false},
+        {"enc.h1    64x128x64", 64, 128, 64, kFwd, true},
+        {"dec.h1    64x64x128", 64, 64, 128, kFwd, true},
+        {"dec.out   64x128x6", 64, 128, 6, kFwd, false},
+        {"pred.h1   64x64x64", 64, 64, 64, kFwd, true},
+        {"dW.enc.h1 64x128x64", 64, 128, 64, kDW, true},
+        {"dW.dec.h1 64x64x128", 64, 64, 128, kDW, true},
+        {"dX.enc.h1 64x64x128", 64, 64, 128, kDX, true},
+        {"dX.dec.h1 64x128x64", 64, 128, 64, kDX, true},
+        {"dX.pred.h1 64x64x64", 64, 64, 64, kDX, true},
+        {"encode.ds 2500x6x128", 2500, 6, 128, kFwd, false},
     };
 
     Rng rng(71);
@@ -130,9 +168,13 @@ main()
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         const Shape &s = shapes[i];
         // transA: A is (m x n) gradient, B is (m x k) input.
-        Matrix a(s.transA ? s.m : s.m, s.transA ? s.n : s.k);
-        Matrix b(s.transA ? s.m : s.n, s.k);
-        Matrix c(s.transA ? s.n : s.m, s.transA ? s.k : s.n);
+        // plain: A is (m x k) gradient, B is (k x n) weight.
+        const bool trans_a = s.orientation == Orientation::TransA;
+        const bool plain = s.orientation == Orientation::Plain;
+        Matrix a(s.m, trans_a ? s.n : s.k);
+        Matrix b(plain ? s.k : trans_a ? s.m : s.n,
+                 plain ? s.n : s.k);
+        Matrix c(trans_a ? s.n : s.m, trans_a ? s.k : s.n);
         a.randomUniform(rng, -1.0, 1.0);
         b.randomUniform(rng, -1.0, 1.0);
 
@@ -172,25 +214,31 @@ main()
         const Shape &s = shapes[i];
         csv.row({s.label, std::to_string(s.m),
                  std::to_string(s.k), std::to_string(s.n),
-                 s.transA ? "transA" : "transB",
+                 orientationName(s.orientation),
                  s.gated ? "1" : "0", CsvWriter::cell(naive_ns[i]),
                  CsvWriter::cell(blocked_ns[i]),
                  CsvWriter::cell(pooled_ns[i]),
                  CsvWriter::cell(naive_ns[i] / blocked_ns[i])});
     }
 
-    std::string body = "{\n  \"bench\": \"gemm_kernels\",\n"
-                       "  \"shapes\": [\n";
+    std::string body = "{\n  \"bench\": \"gemm_kernels\",\n";
+    // The host's hardware threads (VAESA_THREADS overrides, as for
+    // every pool), so a reader can tell which host class ran this.
+    body += "  \"hardware_threads\": " +
+            std::to_string(ThreadPool::defaultThreadCount()) + ",\n";
+    body += "  \"shapes\": [\n";
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         char row[512];
         const Shape &s = shapes[i];
         std::snprintf(
             row, sizeof(row),
-            "    {\"label\": \"%s\", \"m\": %zu, \"k\": %zu, "
+            "    {\"label\": \"%s\", \"orientation\": \"%s\", "
+            "\"m\": %zu, \"k\": %zu, "
             "\"n\": %zu, \"gated\": %s, \"naive_ns\": %.0f, "
             "\"blocked_ns\": %.0f, \"pooled_ns\": %.0f, "
             "\"speedup\": %.3f}%s\n",
-            s.label, s.m, s.k, s.n, s.gated ? "true" : "false",
+            s.label, orientationName(s.orientation), s.m, s.k, s.n,
+            s.gated ? "true" : "false",
             naive_ns[i], blocked_ns[i], pooled_ns[i],
             naive_ns[i] / blocked_ns[i],
             i + 1 < shapes.size() ? "," : "");

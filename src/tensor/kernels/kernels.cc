@@ -70,9 +70,7 @@ gemmPoolSlot()
     return pool;
 }
 
-/** Register-tile extents of the blocked micro-kernels. */
-constexpr std::size_t kTileRows = 4;
-constexpr std::size_t kTileCols = 8;
+/** Column extent of the A * B^T dot tiles (rows: kTileRows). */
 constexpr std::size_t kDotTileCols = 4;
 
 /** Rows per parallel task; a multiple of kTileRows, and fixed so the
@@ -102,92 +100,19 @@ forRowBlocks(std::size_t m, const Body &body)
 }
 
 // ---------------------------------------------------------------- //
-// Blocked kernels. Fixed RI x RJ register tiles with the k loop
+// Blocked A^T * B and A * B^T kernels (A * B lives in
+// kernels_exact.cc). Fixed RI x RJ register tiles with the k loop
 // innermost; each output element is accumulated in increasing k
 // order, so for a fixed kernel choice results are fully
 // deterministic. This TU is built with the tuned per-file flags
-// (-O3, unrolling, AVX2+FMA on x86-64 -- see the tensor
-// CMakeLists), so fused multiply-adds may shift low-order bits
-// relative to the naive reference TU; the equivalence tests bound
-// that drift with an explicit tolerance.
+// (-O3, unrolling, AVX2+FMA and fp contraction on x86-64 -- see the
+// tensor CMakeLists), so fused multiply-adds may shift low-order
+// bits relative to the naive reference TU; the equivalence tests
+// bound that drift with an explicit tolerance.
 // ---------------------------------------------------------------- //
 
-/** C tile (RI x RJ) at (c, stride n) += A rows (stride lda) * B. */
-template <std::size_t RI, std::size_t RJ>
-inline void
-gemmTileFull(std::size_t k, std::size_t n,
-             const double *VAESA_RESTRICT a,
-             const double *VAESA_RESTRICT b,
-             double *VAESA_RESTRICT c, bool accumulate)
-{
-    // a: RI rows of length k, stride k. b: k rows, stride n.
-    double acc[RI][RJ];
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        double x[RI];
-        for (std::size_t r = 0; r < RI; ++r)
-            x[r] = a[r * k + kk];
-        const double *VAESA_RESTRICT b_row = b + kk * n;
-        for (std::size_t t = 0; t < RJ; ++t) {
-            const double bv = b_row[t];
-            for (std::size_t r = 0; r < RI; ++r)
-                acc[r][t] += x[r] * bv;
-        }
-    }
-    for (std::size_t r = 0; r < RI; ++r)
-        for (std::size_t t = 0; t < RJ; ++t)
-            c[r * n + t] = acc[r][t];
-}
-
-/** Edge-tile variant with runtime extents ri <= 4, rj <= 8. */
-inline void
-gemmTileEdge(std::size_t ri, std::size_t rj, std::size_t k,
-             std::size_t n, const double *VAESA_RESTRICT a,
-             const double *VAESA_RESTRICT b,
-             double *VAESA_RESTRICT c, bool accumulate)
-{
-    double acc[kTileRows][kTileCols];
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            acc[r][t] = accumulate ? c[r * n + t] : 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        const double *VAESA_RESTRICT b_row = b + kk * n;
-        for (std::size_t r = 0; r < ri; ++r) {
-            const double x = a[r * k + kk];
-            for (std::size_t t = 0; t < rj; ++t)
-                acc[r][t] += x * b_row[t];
-        }
-    }
-    for (std::size_t r = 0; r < ri; ++r)
-        for (std::size_t t = 0; t < rj; ++t)
-            c[r * n + t] = acc[r][t];
-}
-
-void
-gemmBlocked(std::size_t i0, std::size_t i1, std::size_t n,
-            std::size_t k, const double *a, const double *b, double *c,
-            bool accumulate)
-{
-    for (std::size_t i = i0; i < i1; i += kTileRows) {
-        const std::size_t ri = std::min(kTileRows, i1 - i);
-        for (std::size_t j = 0; j < n; j += kTileCols) {
-            const std::size_t rj = std::min(kTileCols, n - j);
-            const double *a_tile = a + i * k;
-            const double *b_tile = b + j;
-            double *c_tile = c + i * n + j;
-            if (ri == kTileRows && rj == kTileCols)
-                gemmTileFull<kTileRows, kTileCols>(
-                    k, n, a_tile, b_tile, c_tile, accumulate);
-            else
-                gemmTileEdge(ri, rj, k, n, a_tile, b_tile, c_tile,
-                             accumulate);
-        }
-    }
-}
-
-/** Like gemmTileFull, but A is (k x m): x[r] loads are contiguous. */
+/** RI x RJ tile of C = A^T * B; A is (k x m), so the x[r] loads are
+ *  contiguous. */
 template <std::size_t RI, std::size_t RJ>
 inline void
 gemmTransATileFull(std::size_t k, std::size_t m, std::size_t n,
@@ -451,7 +376,7 @@ gemm(std::size_t m, std::size_t n, std::size_t k, const double *a,
     const bool blocked = activeKernelSlot() == KernelKind::Blocked;
     forRowBlocks(m, [&](std::size_t i0, std::size_t i1) {
         if (blocked)
-            gemmBlocked(i0, i1, n, k, a, b, c, accumulate);
+            detail::gemmBlocked(i0, i1, n, k, a, b, c, accumulate);
         else
             detail::gemmNaive(i0, i1, n, k, a, b, c, accumulate);
     });
@@ -519,21 +444,6 @@ addColSums(const double *x, std::size_t rows, std::size_t cols,
         for (std::size_t c = 0; c < cols; ++c)
             sums[c] += row[c];
     }
-}
-
-void
-leakyReluForward(double *x, std::size_t n, double slope)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        x[i] = x[i] > 0.0 ? x[i] : slope * x[i];
-}
-
-void
-leakyReluBackward(double *grad, const double *out, std::size_t n,
-                  double slope)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        grad[i] *= out[i] > 0.0 ? 1.0 : slope;
 }
 
 void

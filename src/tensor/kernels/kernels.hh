@@ -19,7 +19,10 @@
  *    once per a*b+c instead of twice, so blocked results may differ
  *    from naive in low-order bits. The equivalence tests bound that
  *    drift with an explicit relative tolerance (see
- *    docs/PERFORMANCE.md); NaN/Inf propagation is identical.
+ *    docs/PERFORMANCE.md); NaN/Inf propagation is identical. A * B
+ *    pins which products it fuses with a 4x8 tile rule; in A^T * B
+ *    and the four-lane A * B^T the compiler chooses (the op-order
+ *    contracts in docs/PERFORMANCE.md).
  *
  * Determinism contract: for a FIXED kernel choice, fixed inputs give
  * bit-identical outputs, run to run and thread count to thread count.
@@ -138,6 +141,28 @@ void leakyReluForward(double *x, std::size_t n, double slope);
  */
 void leakyReluBackward(double *grad, const double *out, std::size_t n,
                        double slope);
+
+/** Per-step Adam coefficients; bc1/bc2 are the bias corrections
+ *  1 - beta1^t and 1 - beta2^t. */
+struct AdamStep
+{
+    double lr;
+    double beta1;
+    double beta2;
+    double eps;
+    double bc1;
+    double bc2;
+};
+
+/**
+ * One Adam update of n parameters in place, element by element:
+ * m = beta1 m + (1 - beta1) g; v = beta2 v + (1 - beta2) g g;
+ * w -= lr (m / bc1) / (sqrt(v / bc2) + eps). Every op rounds on its
+ * own (no fusion), so the vector body matches the scalar loop bit
+ * for bit. No pointer may alias another.
+ */
+void adamUpdate(std::size_t n, double *w, double *m, double *v,
+                const double *g, const AdamStep &step);
 
 /** In place: x[i] = 1 / (1 + exp(-x[i])). */
 void sigmoidForward(double *x, std::size_t n);

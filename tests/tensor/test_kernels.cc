@@ -1,14 +1,22 @@
 /** @file Kernel-layer tests: naive-vs-reference bit-equivalence,
  *  blocked-vs-naive equivalence within the documented FMA tolerance
  *  (including NaN/Inf operands -- the old zero-skip sparsity shortcut
- *  masked their propagation), fixed-kernel determinism,
- *  pooled-vs-serial bitwise equality, runtime kernel selection, and
- *  workspace arena growth stability. */
+ *  masked their propagation), the blocked A*B op-order rule and the
+ *  branch-free LeakyReLU checked bit for bit against scalar oracles,
+ *  fixed-kernel determinism, pooled-vs-serial bitwise equality,
+ *  runtime kernel selection, and workspace arena growth stability.
+ *
+ *  This file is built with -ffp-contract=off (tests/CMakeLists.txt),
+ *  so every a * b + c in an oracle rounds twice unless it is spelled
+ *  std::fma. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tensor/kernels/kernels.hh"
 #include "tensor/kernels/workspace.hh"
@@ -268,6 +276,190 @@ TEST(Kernels, NanAndInfPropagateAcrossZeros)
         // And A * B^T.
         const Matrix cbt = Matrix::multiplyTransB(a, b.transposed());
         expectSameValues(cbt, refMultiplyTransB(a, b.transposed()));
+    }
+}
+
+/** Bit equality, treating any-NaN-equals-any-NaN; tells -0 from +0. */
+::testing::AssertionResult
+sameBits(double got, double want)
+{
+    if (std::isnan(want) && std::isnan(got))
+        return ::testing::AssertionSuccess();
+    std::uint64_t g = 0;
+    std::uint64_t w = 0;
+    std::memcpy(&g, &got, sizeof(g));
+    std::memcpy(&w, &want, sizeof(w));
+    if (g == w)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "got " << got << " (0x" << std::hex << g << "), want "
+           << want << " (0x" << w << ")";
+}
+
+/**
+ * Oracle for the blocked C = A * B: the op order of its 4x8 register
+ * tiles, spelled out per element. Every element starts at c (or 0)
+ * and adds its products k-ascending. Inside a full 4x8 tile the first
+ * k - k % 2 products are rounded, then added; an odd k's last product
+ * is fused. Edge tiles (rows past the last multiple of 4, or columns
+ * past the last multiple of 8) fuse every product.
+ */
+std::vector<double>
+refBlockedGemm(std::size_t m, std::size_t n, std::size_t k,
+               const std::vector<double> &a,
+               const std::vector<double> &b,
+               const std::vector<double> &c0, bool accumulate)
+{
+    std::vector<double> c(m * n);
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const bool full_tile =
+                i - i % 4 + 4 <= m && j - j % 8 + 8 <= n;
+            const std::size_t unfused = full_tile ? k - k % 2 : 0;
+            double acc = accumulate ? c0[i * n + j] : 0.0;
+            for (std::size_t kk = 0; kk < unfused; ++kk)
+                acc += a[i * k + kk] * b[kk * n + j];
+            for (std::size_t kk = unfused; kk < k; ++kk)
+                acc = std::fma(a[i * k + kk], b[kk * n + j], acc);
+            c[i * n + j] = acc;
+        }
+    }
+    return c;
+}
+
+std::vector<double>
+randomVector(std::size_t size, Rng &rng)
+{
+    std::vector<double> v(size);
+    for (double &x : v)
+        x = rng.uniform(-1.0, 1.0);
+    return v;
+}
+
+/** Run the blocked gemm and compare every element with the oracle. */
+void
+expectBlockedGemmMatchesRule(std::size_t m, std::size_t n,
+                             std::size_t k, const std::vector<double> &a,
+                             const std::vector<double> &b,
+                             const std::vector<double> &c0,
+                             bool accumulate)
+{
+    std::vector<double> c = c0;
+    kernels::gemm(m, n, k, a.data(), b.data(), c.data(), accumulate);
+    const std::vector<double> want =
+        refBlockedGemm(m, n, k, a, b, c0, accumulate);
+    std::size_t mismatches = 0;
+    for (std::size_t e = 0; e < c.size(); ++e) {
+        const auto same = sameBits(c[e], want[e]);
+        if (!same && mismatches++ < 3)
+            ADD_FAILURE() << "m " << m << " n " << n << " k " << k
+                          << " accumulate " << accumulate << " at ("
+                          << e / n << ", " << e % n << "): "
+                          << same.message();
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "m " << m << " n " << n << " k " << k << " accumulate "
+        << accumulate;
+}
+
+TEST(Kernels, BlockedGemmFollowsTileOpOrderBitwise)
+{
+    const KernelStateGuard guard;
+    kernels::setActiveKernel(kernels::KernelKind::Blocked);
+    kernels::setGemmPool(nullptr);
+    Rng rng(15);
+    const std::size_t ms[] = {1, 3, 4, 5, 16, 17, 64};
+    const std::size_t ns[] = {1, 4, 6, 7, 8, 9, 12, 64, 128};
+    const std::size_t ks[] = {1,  2,  3,  4,  5,  6,  7,  8,
+                              12, 16, 63, 64, 65, 128};
+    for (const std::size_t m : ms)
+        for (const std::size_t n : ns)
+            for (const std::size_t k : ks) {
+                const auto a = randomVector(m * k, rng);
+                const auto b = randomVector(k * n, rng);
+                const auto c0 = randomVector(m * n, rng);
+                for (const bool accumulate : {false, true})
+                    expectBlockedGemmMatchesRule(m, n, k, a, b, c0,
+                                                 accumulate);
+            }
+}
+
+TEST(Kernels, BlockedGemmRulePropagatesNanAndInf)
+{
+    const KernelStateGuard guard;
+    kernels::setActiveKernel(kernels::KernelKind::Blocked);
+    const double specials[] = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 0.0, -0.0};
+    Rng rng(16);
+    // Full tiles with even and odd k, plus column and row edges.
+    const std::size_t shapes[][3] = {
+        {8, 16, 7}, {8, 16, 8}, {5, 12, 9}, {3, 6, 4}};
+    for (const auto &s : shapes) {
+        auto a = randomVector(s[0] * s[2], rng);
+        auto b = randomVector(s[2] * s[1], rng);
+        auto c0 = randomVector(s[0] * s[1], rng);
+        for (std::size_t e = 0; e < a.size(); e += 5)
+            a[e] = specials[e % 5];
+        for (std::size_t e = 1; e < b.size(); e += 7)
+            b[e] = specials[e % 5];
+        c0[2] = specials[0];
+        for (const bool accumulate : {false, true})
+            expectBlockedGemmMatchesRule(s[0], s[1], s[2], a, b, c0,
+                                         accumulate);
+    }
+}
+
+/** Inputs that exercise every LeakyReLU branch edge: signed zeros,
+ *  infinities, NaNs of both signs, subnormals and huge values. */
+std::vector<double>
+leakyReluInputs(std::size_t n, Rng &rng)
+{
+    using limits = std::numeric_limits<double>;
+    const double specials[] = {
+        0.0,         -0.0,          limits::infinity(),
+        -limits::infinity(),        limits::quiet_NaN(),
+        -limits::quiet_NaN(),       limits::denorm_min(),
+        -limits::denorm_min(),      limits::min() / 4.0,
+        -limits::min() / 4.0,       limits::max(),
+        -limits::max()};
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i)
+        x[i] = i % 3 == 0 ? specials[(i / 3) % std::size(specials)]
+                          : rng.uniform(-1.0, 1.0);
+    return x;
+}
+
+TEST(Kernels, LeakyReluMatchesBranchyLoopBitwise)
+{
+    Rng rng(17);
+    for (const double slope : {0.01, 0.0, 0.3, 1.0}) {
+        for (const std::size_t n :
+             {0u, 1u, 2u, 3u, 4u, 5u, 7u, 13u, 36u, 1027u}) {
+            const std::vector<double> in = leakyReluInputs(n, rng);
+            std::vector<double> out = in;
+            kernels::leakyReluForward(out.data(), n, slope);
+
+            const std::vector<double> grad_in = leakyReluInputs(n, rng);
+            std::vector<double> grad = grad_in;
+            kernels::leakyReluBackward(grad.data(), out.data(), n,
+                                       slope);
+
+            for (std::size_t i = 0; i < n; ++i) {
+                // The scalar loops the vector bodies replaced.
+                const double want_out =
+                    in[i] > 0.0 ? in[i] : slope * in[i];
+                const double want_grad =
+                    grad_in[i] * (want_out > 0.0 ? 1.0 : slope);
+                EXPECT_TRUE(sameBits(out[i], want_out))
+                    << "forward slope " << slope << " n " << n
+                    << " at " << i << " input " << in[i];
+                EXPECT_TRUE(sameBits(grad[i], want_grad))
+                    << "backward slope " << slope << " n " << n
+                    << " at " << i << " out " << want_out;
+            }
+        }
     }
 }
 
