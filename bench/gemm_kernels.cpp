@@ -4,7 +4,9 @@
  * and blocked + thread pool, over the layer shapes the Figure 11
  * training runs actually execute (batch 64, VAE hidden {128, 64},
  * latent 4, predictor hidden {64, 64}), plus the full-dataset encode
- * batch.
+ * batch. The pooled column is timed only for shapes with at least
+ * gemmParallelMinRows() rows (the encode batch at the default 256);
+ * smaller GEMMs never fan out, so it is null for them.
  *
  * Shapes are (m, k, n) of the linearForward orientation
  * C(m x n) = A(m x k) * B(n x k)^T, i.e. batch x fan_in x fan_out.
@@ -120,6 +122,15 @@ nsPerMultiply(const Shape &s, const Matrix &a, const Matrix &b,
     return best_s * 1e9;
 }
 
+/** A pooled time as rounded ns, or @p none for a shape that never
+ *  reaches the pool (NaN). */
+std::string
+pooledText(double ns, const char *none)
+{
+    return std::isnan(ns) ? std::string(none)
+                          : std::to_string(std::lround(ns));
+}
+
 } // namespace
 
 int
@@ -163,7 +174,7 @@ main()
     std::size_t gated_count = 0;
     std::vector<double> naive_ns(shapes.size());
     std::vector<double> blocked_ns(shapes.size());
-    std::vector<double> pooled_ns(shapes.size());
+    std::vector<double> pooled_ns(shapes.size(), std::nan(""));
 
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         const Shape &s = shapes[i];
@@ -184,18 +195,24 @@ main()
         kernels::setActiveKernel(kernels::KernelKind::Blocked);
         blocked_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
 
-        kernels::setGemmPool(&pool);
-        pooled_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
-        kernels::setGemmPool(nullptr);
+        // Only GEMMs with at least gemmParallelMinRows() output rows
+        // fan out; below it the pooled call would time the serial
+        // path again, so those rows report no pooled figure.
+        if (s.m >= kernels::gemmParallelMinRows()) {
+            kernels::setGemmPool(&pool);
+            pooled_ns[i] = nsPerMultiply(s, a, b, c, reps, target_ms);
+            kernels::setGemmPool(nullptr);
+        }
 
         const double speedup = naive_ns[i] / blocked_ns[i];
         if (s.gated) {
             log_speedup_sum += std::log(speedup);
             ++gated_count;
         }
-        std::printf("%-22s %12.0f %12.0f %12.0f %8.2fx%s\n", s.label,
-                    naive_ns[i], blocked_ns[i], pooled_ns[i], speedup,
-                    s.gated ? "" : "  (ungated)");
+        std::printf("%-22s %12.0f %12.0f %12s %8.2fx%s\n", s.label,
+                    naive_ns[i], blocked_ns[i],
+                    pooledText(pooled_ns[i], "-").c_str(),
+                    speedup, s.gated ? "" : "  (ungated)");
     }
 
     const double geomean =
@@ -217,7 +234,7 @@ main()
                  orientationName(s.orientation),
                  s.gated ? "1" : "0", CsvWriter::cell(naive_ns[i]),
                  CsvWriter::cell(blocked_ns[i]),
-                 CsvWriter::cell(pooled_ns[i]),
+                 pooledText(pooled_ns[i], ""),
                  CsvWriter::cell(naive_ns[i] / blocked_ns[i])});
     }
 
@@ -230,16 +247,17 @@ main()
     for (std::size_t i = 0; i < shapes.size(); ++i) {
         char row[512];
         const Shape &s = shapes[i];
+        const std::string pooled = pooledText(pooled_ns[i], "null");
         std::snprintf(
             row, sizeof(row),
             "    {\"label\": \"%s\", \"orientation\": \"%s\", "
             "\"m\": %zu, \"k\": %zu, "
             "\"n\": %zu, \"gated\": %s, \"naive_ns\": %.0f, "
-            "\"blocked_ns\": %.0f, \"pooled_ns\": %.0f, "
+            "\"blocked_ns\": %.0f, \"pooled_ns\": %s, "
             "\"speedup\": %.3f}%s\n",
             s.label, orientationName(s.orientation), s.m, s.k, s.n,
             s.gated ? "true" : "false",
-            naive_ns[i], blocked_ns[i], pooled_ns[i],
+            naive_ns[i], blocked_ns[i], pooled.c_str(),
             naive_ns[i] / blocked_ns[i],
             i + 1 < shapes.size() ? "," : "");
         body += row;

@@ -31,6 +31,7 @@
 #ifndef VAESA_SCHED_PARALLEL_EVALUATOR_HH
 #define VAESA_SCHED_PARALLEL_EVALUATOR_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "sched/caching_evaluator.hh"
@@ -51,22 +52,6 @@ namespace vaesa {
  * threads == 0 behaves like threads == 1.
  */
 std::size_t chunkSizeFor(std::size_t items, std::size_t threads);
-
-/**
- * Per-item outcome of a ParallelEvaluator batch evaluated with
- * per-item cancel tokens: items whose own token expires are DROPPED
- * at the next layer boundary without disturbing their batch-mates.
- */
-enum class BatchItemStatus : std::uint8_t
-{
-    /** Scored completely; the result slot is authoritative. */
-    Ok = 0,
-
-    /** The item's own token expired; its result slot is the invalid
-     *  zero EvalResult and layers past the boundary were never
-     *  looked up for it. */
-    DeadlineExpired = 1,
-};
 
 /**
  * Roll a workload up layer-by-layer in parallel on a plain (cache-
@@ -136,32 +121,17 @@ class ParallelEvaluator
         const std::vector<LayerShape> &workload) const;
 
     /**
-     * evaluateBatch with PER-ITEM deadlines: the serve-side
-     * coalescing entry point (serve/batcher.cc funnels concurrent
-     * ScoreConfig requests here as one SoA batch).
-     *
-     * @p itemTokens, when non-null, holds configs.size() borrowed
-     * token pointers (individual entries may be null = no deadline).
-     * Expiry of item i's own token is observed at layer boundaries —
-     * including before the first layer — and drops ONLY item i from
-     * the rest of the batch: statuses[i] (when @p statuses is
-     * non-null) becomes DeadlineExpired, its result slot is the
-     * invalid zero result, and its batch-mates score on untouched.
-     * Completed layers stay merged into the cache, exactly as a
-     * solo request cancelled between layers would leave it.
-     *
-     * The evaluator-wide token installed via setCancelToken() keeps
-     * its PR 7 semantics on top: it fires at chunk claims and throws
-     * DeadlineExceeded for the WHOLE batch through the all-or-
-     * nothing exit (per-item tokens never throw). With null
-     * @p itemTokens this is exactly evaluateBatch(), which now
-     * delegates here.
+     * evaluateBatch under its older four-argument spelling, kept
+     * because the perfbench harness calls it; both trailing
+     * arguments must be nullptr.
      */
     std::vector<EvalResult> evaluateConfigBatch(
         const std::vector<AcceleratorConfig> &configs,
-        const std::vector<LayerShape> &workload,
-        const CancelToken *const *itemTokens,
-        BatchItemStatus *statuses) const;
+        const std::vector<LayerShape> &workload, std::nullptr_t,
+        std::nullptr_t) const
+    {
+        return evaluateBatch(configs, workload);
+    }
 
     /** Score configs[i] on one layer into result i through the
      *  chunked dedup/probe/merge pipeline (see file comment). */

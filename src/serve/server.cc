@@ -136,6 +136,26 @@ class ServeObjective : public Objective
 };
 
 /**
+ * Score one config on @p layers through a per-request
+ * ParallelEvaluator view over the shared cache and eval pool. The
+ * view checks @p token at every chunk claim; for one config that is
+ * every layer the cache misses. Expiry throws DeadlineExceeded
+ * through the pipeline's all-or-nothing exit, so the layer in flight
+ * never reaches the cache and the layers before it stay merged,
+ * exactly as their own evaluation left them.
+ */
+EvalResult
+scoreOne(const CachingEvaluator &cache, ThreadPool &pool,
+         const AcceleratorConfig &config,
+         const std::vector<LayerShape> &layers,
+         const CancelToken &token)
+{
+    ParallelEvaluator view(cache, pool);
+    view.setCancelToken(&token);
+    return view.evaluateBatch({config}, layers).front();
+}
+
+/**
  * Latent-space objective of one serve request: decode through the
  * pinned model bundle (scratch buffers serialized by modelMutex,
  * released before any cache lock per the lock-order table), score
@@ -218,11 +238,7 @@ class SlotGuard
 
 Server::Server(const ServeOptions &options)
     : options_(options), evalPool_(options.evalThreads),
-      servicePool_(std::max<std::size_t>(1, options.serviceThreads)),
-      batcher_(cache_, evalPool_,
-               BatcherOptions{options.batchWindowUs, options.maxBatch},
-               &drainToken_,
-               [this] { return activeConns_.load(); })
+      servicePool_(std::max<std::size_t>(1, options.serviceThreads))
 {
     for (Workload &w : trainingWorkloads())
         workloads_[w.name] = std::move(w.layers);
@@ -440,7 +456,9 @@ Server::handleConnection(Socket sock)
 
             bool closeAfter = false;
             const metrics::ScopedTimer timer(sm.requestNs);
-            Response resp = dispatch(parsed.value(), &closeAfter);
+            CancelToken token;
+            Response resp =
+                dispatch(parsed.value(), token, &closeAfter);
             if (sendFrame(sock,
                           frameMessage(serializeResponse(resp))) ||
                 closeAfter)
@@ -458,7 +476,8 @@ Server::handleConnection(Socket sock)
 }
 
 Response
-Server::dispatch(const Request &request, bool *closeAfter)
+Server::dispatch(const Request &request, CancelToken &token,
+                 bool *closeAfter)
 {
     ServeMetrics &sm = serveMetrics();
     sm.requests.inc();
@@ -466,7 +485,6 @@ Server::dispatch(const Request &request, bool *closeAfter)
     resp.id = request.id;
     resp.type = request.type;
 
-    CancelToken token;
     token.chainTo(&drainToken_);
     if (request.deadlineMs != 0)
         token.setDeadlineAfterMs(
@@ -539,13 +557,8 @@ Server::handleScore(const Request &request, CancelToken &token,
     if (!layers)
         return;
     token.check("score_admit");
-    // All ScoreConfig scoring funnels through the coalescing
-    // batcher (lint-enforced: the SoA batch entry point is called
-    // only from serve/batcher.cc), so concurrent requests share one
-    // dispatch while a lone request passes straight through.
     const EvalResult result =
-        batcher_.score(request.workload, *layers, request.config,
-                       &token);
+        scoreOne(cache_, evalPool_, request.config, *layers, token);
     resp->valid = result.valid;
     resp->latencyCycles = result.latencyCycles;
     resp->energyPj = result.energyPj;
@@ -583,11 +596,8 @@ Server::handleDecode(const Request &request, CancelToken &token,
             findWorkload(request.workload, resp);
         if (!layers)
             return;
-        // Decoded-config scoring rides the same coalescing queue as
-        // ScoreConfig: a DecodeLatent burst batches with the score
-        // traffic of the same workload.
-        const EvalResult result = batcher_.score(
-            request.workload, *layers, resp->config, &token);
+        const EvalResult result =
+            scoreOne(cache_, evalPool_, resp->config, *layers, token);
         resp->valid = result.valid;
         resp->latencyCycles = result.latencyCycles;
         resp->energyPj = result.energyPj;

@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "sched/caching_evaluator.hh"
-#include "serve/batcher.hh"
 #include "serve/model_bundle.hh"
 #include "serve/net.hh"
 #include "serve/protocol.hh"
@@ -98,16 +97,6 @@ struct ServeOptions
 
     /** Half-width of the latent search box for LatentRandom. */
     double latentRadius = 2.5;
-
-    /** ScoreConfig coalesce window in microseconds (see
-     *  serve/batcher.hh): how long the first request of a wavefront
-     *  holds the batch open for late arrivals. 0 disables
-     *  coalescing waits; an otherwise-idle server always skips the
-     *  window regardless. */
-    std::uint32_t batchWindowUs = 50;
-
-    /** Most requests one coalesced ScoreConfig batch may carry. */
-    std::size_t maxBatch = 64;
 };
 
 /** The daemon. Construct, start(), then serve() on some thread. */
@@ -154,12 +143,20 @@ class Server
     /** Connections rejected by admission control so far. */
     std::uint64_t rejectedCount() const;
 
+    /**
+     * Run one parsed request under @p token, which this chains to
+     * the drain token and arms with the request's (capped) deadline.
+     * A token that has already expired answers DEADLINE_EXCEEDED at
+     * the request's first checkpoint. Connection handlers call this
+     * once per frame; tests call it directly to run a request
+     * without a socket. Never throws except InjectedFault (which
+     * kills the connection, not the server).
+     */
+    Response dispatch(const Request &request, CancelToken &token,
+                      bool *closeAfter);
+
   private:
     void handleConnection(Socket sock);
-
-    /** Run one parsed request; never throws except InjectedFault
-     *  (which kills the connection, not the server). */
-    Response dispatch(const Request &request, bool *closeAfter);
 
     void handleScore(const Request &request, CancelToken &token,
                      Response *resp);
@@ -186,10 +183,6 @@ class Server
     std::atomic<bool> reloadRequested_{false};
     std::atomic<std::size_t> activeConns_{0};
     std::atomic<std::size_t> searchInflight_{0};
-    /** Coalesces concurrent ScoreConfig traffic into SoA batches;
-     *  declared after cache_/evalPool_/drainToken_/activeConns_
-     *  (it borrows all four at construction). */
-    ScoreBatcher batcher_;
 };
 
 } // namespace serve

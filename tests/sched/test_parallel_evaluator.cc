@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "sched/parallel_evaluator.hh"
-#include "util/deadline.hh"
 #include "util/rng.hh"
 #include "workload/networks.hh"
 
@@ -204,6 +203,8 @@ TEST(ParallelEvaluator, ChunkSizeForNeverEmptyNeverOvercounts)
 
 TEST(ParallelEvaluator, NullItemTokensMatchPlainBatch)
 {
+    // The four-argument evaluateConfigBatch spelling (both trailing
+    // arguments nullptr) is evaluateBatch under another name.
     const Workload alexnet = workloadByName("alexnet");
     const std::vector<AcceleratorConfig> batch = randomBatch(12, 41);
 
@@ -213,59 +214,16 @@ TEST(ParallelEvaluator, NullItemTokensMatchPlainBatch)
     const std::vector<EvalResult> expected =
         plainEval.evaluateBatch(batch, alexnet.layers);
 
-    CachingEvaluator tokenCache;
-    const ParallelEvaluator tokenEval(tokenCache, pool);
-    std::vector<const CancelToken *> tokens(batch.size(), nullptr);
-    std::vector<BatchItemStatus> status(batch.size(),
-                                        BatchItemStatus::Ok);
-    const std::vector<EvalResult> got =
-        tokenEval.evaluateConfigBatch(batch, alexnet.layers,
-                                      tokens.data(), status.data());
+    CachingEvaluator otherCache;
+    const ParallelEvaluator otherEval(otherCache, pool);
+    const std::vector<EvalResult> got = otherEval.evaluateConfigBatch(
+        batch, alexnet.layers, nullptr, nullptr);
 
     ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(status[i], BatchItemStatus::Ok);
+    for (std::size_t i = 0; i < got.size(); ++i)
         expectBitIdentical(got[i], expected[i]);
-    }
-}
-
-TEST(ParallelEvaluator, ExpiredItemDroppedWithoutDisturbingMates)
-{
-    const Workload alexnet = workloadByName("alexnet");
-    const std::vector<AcceleratorConfig> batch = randomBatch(8, 43);
-
-    // Reference: the surviving items scored WITHOUT the doomed one.
-    CachingEvaluator referenceCache;
-    ThreadPool pool(2);
-    const ParallelEvaluator reference(referenceCache, pool);
-    std::vector<AcceleratorConfig> survivors(batch.begin() + 1,
-                                             batch.end());
-    const std::vector<EvalResult> expected =
-        reference.evaluateBatch(survivors, alexnet.layers);
-
-    CancelToken doomed;
-    doomed.setDeadlineAfterMs(0); // expires before the first layer
-    std::vector<const CancelToken *> tokens(batch.size(), nullptr);
-    tokens[0] = &doomed;
-    std::vector<BatchItemStatus> status(batch.size(),
-                                        BatchItemStatus::Ok);
-
-    CachingEvaluator cache;
-    const ParallelEvaluator parallel(cache, pool);
-    const std::vector<EvalResult> got =
-        parallel.evaluateConfigBatch(batch, alexnet.layers,
-                                     tokens.data(), status.data());
-
-    // The doomed item is reported expired with an invalid result;
-    // its batch-mates are bit-identical to a batch it never joined.
-    ASSERT_EQ(got.size(), batch.size());
-    EXPECT_EQ(status[0], BatchItemStatus::DeadlineExpired);
-    EXPECT_FALSE(got[0].valid);
-    EXPECT_EQ(got[0].edp, 0.0);
-    for (std::size_t i = 1; i < batch.size(); ++i) {
-        EXPECT_EQ(status[i], BatchItemStatus::Ok);
-        expectBitIdentical(got[i], expected[i - 1]);
-    }
+    EXPECT_EQ(otherCache.hits(), plainCache.hits());
+    EXPECT_EQ(otherCache.misses(), plainCache.misses());
 }
 
 } // namespace

@@ -9,12 +9,13 @@
  *
  * The server runs in-process on its own ThreadPool thread; clients
  * talk through the serve:: transport helpers, so the whole protocol
- * path (frame, parse, dispatch, respond) is exercised for real.
+ * path (frame, parse, dispatch, respond) is exercised for real. The
+ * token tests call Server::dispatch directly, because no frame can
+ * carry a token that has already expired.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -28,6 +29,7 @@
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "util/atomic_io.hh"
+#include "util/deadline.hh"
 #include "util/fault.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
@@ -231,8 +233,8 @@ TEST_F(ServeServer, ZooWorkloadNamesAreServable)
     ASSERT_TRUE(conn.ok());
 
     // Zoo entries register count-expanded, so a depthwise-heavy net
-    // and a transformer both score through the same batcher path as
-    // the Table III convs.
+    // and a transformer both score through the same path as the
+    // Table III convs.
     unsigned id = 40;
     for (const char *name : {"mobilenet_v2", "bert_base", "dlrm"}) {
         Request score;
@@ -521,21 +523,18 @@ randomConfigs(std::size_t count, std::uint64_t seed)
 }
 
 /**
- * Run the same ScoreConfig stream against a fresh server configured
- * with @p windowUs: @p clients concurrent connections, each sending
- * its interleaved slice of @p configs in order (so the global
- * arrival order is shuffled but identical across modes), with a
- * harmless large deadline on every third request.
+ * Score @p configs on alexnet against a fresh server from @p clients
+ * concurrent connections, each sending its interleaved slice in
+ * order, with a harmless large deadline on every third request.
+ * Replies come back in config order.
  */
 std::vector<Response>
-scoreStream(std::uint32_t windowUs, std::size_t clients,
+scoreStream(std::size_t clients,
             const std::vector<AcceleratorConfig> &configs)
 {
     ServeOptions options = baseOptions();
     options.serviceThreads = clients;
     options.maxConnections = clients + 1;
-    options.batchWindowUs = windowUs;
-    options.maxBatch = 16;
     ServerHarness harness(options);
 
     std::vector<Response> replies(configs.size());
@@ -568,40 +567,94 @@ scoreStream(std::uint32_t windowUs, std::size_t clients,
     return replies;
 }
 
-TEST_F(ServeServer, BatchedRepliesBitIdenticalToUnbatched)
+/** An alexnet ScoreConfig request for @p config. */
+Request
+scoreRequest(const AcceleratorConfig &config)
 {
-    constexpr std::size_t kClients = 4;
+    Request score;
+    score.type = MsgType::ScoreConfig;
+    score.workload = "alexnet";
+    score.config = config;
+    return score;
+}
+
+void
+expectMatchesEvaluator(const Response &reply, const EvalResult &ref)
+{
+    EXPECT_EQ(reply.status, Status::Ok);
+    EXPECT_EQ(reply.valid, ref.valid);
+    // Exact double comparison: the shared cache must be bit-neutral.
+    EXPECT_EQ(reply.edp, ref.edp);
+    EXPECT_EQ(reply.latencyCycles, ref.latencyCycles);
+    EXPECT_EQ(reply.energyPj, ref.energyPj);
+}
+
+TEST_F(ServeServer, ConcurrentScoresMatchSerialEvaluator)
+{
     const std::vector<AcceleratorConfig> configs =
         randomConfigs(24, 0xAB5EED);
+    const std::vector<Response> replies = scoreStream(4, configs);
 
-    // Same mix, same shuffled arrival order, same deadlines; the
-    // only difference is the coalescing window (0 = unbatched
-    // per-request dispatch, 2 ms = coalesced SoA batches).
-    const std::vector<Response> unbatched =
-        scoreStream(0, kClients, configs);
-    const std::vector<Response> batched =
-        scoreStream(2000, kClients, configs);
-
-    ASSERT_EQ(unbatched.size(), batched.size());
+    const Workload alexnet = workloadByName("alexnet");
+    Evaluator plain;
+    ASSERT_EQ(replies.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        EXPECT_EQ(batched[i].status, unbatched[i].status) << i;
-        EXPECT_EQ(batched[i].valid, unbatched[i].valid) << i;
-        // Exact double comparison: coalescing must be bit-neutral.
-        EXPECT_EQ(batched[i].edp, unbatched[i].edp) << i;
-        EXPECT_EQ(batched[i].latencyCycles,
-                  unbatched[i].latencyCycles)
-            << i;
-        EXPECT_EQ(batched[i].energyPj, unbatched[i].energyPj) << i;
+        SCOPED_TRACE(i);
+        expectMatchesEvaluator(
+            replies[i], plain.evaluateWorkload(configs[i],
+                                               alexnet.layers));
     }
 }
 
-TEST_F(ServeServer, KilledLeaderMidCoalescedBatchSparesMates)
+TEST_F(ServeServer, ExpiredScoreTokenAnswersDeadlineExceeded)
 {
-    ServeOptions options = baseOptions();
-    options.batchWindowUs = 20000; // 20 ms: the two requests coalesce
-    options.maxBatch = 8;
-    ServerHarness harness(options);
+    ServerHarness harness(baseOptions());
+    metrics::Counter &deadline =
+        metrics::counter("serve.deadline_exceeded");
+    const std::uint64_t deadlineBefore = deadline.value();
+    const std::uint64_t hits0 = harness.server().cache().hits();
+    const std::uint64_t misses0 = harness.server().cache().misses();
 
+    CancelToken token;
+    token.setDeadlineNs(1); // long past
+    bool closeAfter = false;
+    const Response reply = harness.server().dispatch(
+        scoreRequest(someConfig()), token, &closeAfter);
+
+    EXPECT_EQ(reply.status, Status::DeadlineExceeded);
+    EXPECT_EQ(deadline.value(), deadlineBefore + 1);
+    EXPECT_FALSE(closeAfter);
+    // Nothing was looked up, so nothing was scored or cached.
+    EXPECT_EQ(harness.server().cache().hits(), hits0);
+    EXPECT_EQ(harness.server().cache().misses(), misses0);
+}
+
+TEST_F(ServeServer, CancelledDrainTokenAnswersDeadlineExceeded)
+{
+    ServerHarness harness(baseOptions());
+    metrics::Counter &deadline =
+        metrics::counter("serve.deadline_exceeded");
+
+    // Drain cancels the server's drain token. A ScoreConfig still
+    // being handled at that point carries a token of its own with no
+    // deadline; only the chain to the drain token can stop it.
+    EXPECT_EQ(harness.finish(), 0);
+    const std::uint64_t deadlineBefore = deadline.value();
+    const std::uint64_t misses0 = harness.server().cache().misses();
+
+    CancelToken token;
+    bool closeAfter = false;
+    const Response reply = harness.server().dispatch(
+        scoreRequest(someConfig()), token, &closeAfter);
+
+    EXPECT_EQ(reply.status, Status::DeadlineExceeded);
+    EXPECT_EQ(deadline.value(), deadlineBefore + 1);
+    EXPECT_EQ(harness.server().cache().misses(), misses0);
+}
+
+TEST_F(ServeServer, KilledScoreLeavesCacheBitIdentical)
+{
+    ServerHarness harness(baseOptions());
     const Workload alexnet = workloadByName("alexnet");
     const std::vector<AcceleratorConfig> configs =
         randomConfigs(2, 0xFA17);
@@ -610,83 +663,49 @@ TEST_F(ServeServer, KilledLeaderMidCoalescedBatchSparesMates)
     for (const AcceleratorConfig &config : configs)
         expected.push_back(
             plain.evaluateWorkload(config, alexnet.layers));
+    // Valid on every layer, so each scores all of alexnet's layers.
+    ASSERT_TRUE(expected[0].valid);
+    ASSERT_TRUE(expected[1].valid);
 
     metrics::Counter &killed =
         metrics::counter("serve.killed_connections");
-    const std::uint64_t killedBefore = killed.value();
+    const std::uint64_t hits0 = harness.server().cache().hits();
+    const std::uint64_t misses0 = harness.server().cache().misses();
 
-    // Both connections up before the fault arms, so neither request
-    // trips an unrelated site.
-    Expected<Socket> connA = harness.connect();
-    Expected<Socket> connB = harness.connect();
-    ASSERT_TRUE(connA.ok());
-    ASSERT_TRUE(connB.ok());
-    Socket conns[2] = {std::move(connA.value()),
-                       std::move(connB.value())};
-
-    // The first coalesced dispatch dies at serve_batch: the LEADER's
-    // connection is killed; its batch-mate re-batches and answers.
-    FaultInjector::instance().arm("serve_batch", 1);
-    std::atomic<int> okCount{0};
-    std::atomic<int> deadConns{0};
-    bool gotReply[2] = {false, false};
-    Response okReplies[2];
-    ThreadPool clients(2);
-    std::vector<std::future<void>> done;
-    for (int i = 0; i < 2; ++i)
-        done.push_back(clients.submit([&, i] {
-            Request score;
-            score.id = static_cast<std::uint64_t>(100 + i);
-            score.type = MsgType::ScoreConfig;
-            score.workload = "alexnet";
-            score.config = configs[static_cast<std::size_t>(i)];
-            Expected<Response> reply =
-                roundTrip(conns[i], score, 10000);
-            if (reply.ok() &&
-                reply.value().status == Status::Ok) {
-                okReplies[i] = reply.value();
-                gotReply[i] = true;
-                ++okCount;
-            } else {
-                ++deadConns;
-            }
-        }));
-    for (auto &future : done)
-        future.get();
-    clients.shutdown();
-    ASSERT_TRUE(
-        eventually([&] { return killed.value() > killedBefore; }));
-    FaultInjector::instance().reset();
-
-    // Exactly one caller died with its connection; the survivor got
-    // its normal, bit-identical answer.
-    EXPECT_EQ(okCount.load(), 1);
-    EXPECT_EQ(deadConns.load(), 1);
-    EXPECT_EQ(killed.value(), killedBefore + 1);
-    for (int i = 0; i < 2; ++i)
-        if (gotReply[i]) {
-            EXPECT_EQ(okReplies[i].edp,
-                      expected[static_cast<std::size_t>(i)].edp);
-            EXPECT_EQ(
-                okReplies[i].latencyCycles,
-                expected[static_cast<std::size_t>(i)].latencyCycles);
+    // One config is one chunk claim per layer that misses the cache,
+    // so the first batch_chunk hit kills the request before its first
+    // layer is scored, and the third kills it mid-workload.
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(i);
+        Expected<Socket> conn = harness.connect();
+        ASSERT_TRUE(conn.ok());
+        const std::uint64_t killedBefore = killed.value();
+        FaultInjector::instance().arm("batch_chunk", i == 0 ? 1 : 3);
+        Expected<Response> reply =
+            roundTrip(conn.value(), scoreRequest(configs[i]), 10000);
+        EXPECT_FALSE(reply.ok()); // the connection died unanswered
+        ASSERT_TRUE(eventually(
+            [&] { return killed.value() > killedBefore; }));
+        FaultInjector::instance().reset();
+        EXPECT_EQ(killed.value(), killedBefore + 1);
+        if (i == 0) {
+            // The killed layer never merged: the cache is exactly as
+            // if the request had never started.
+            EXPECT_EQ(harness.server().cache().hits(), hits0);
+            EXPECT_EQ(harness.server().cache().misses(), misses0);
         }
+    }
 
-    // The aborted batch never merged: replaying both requests on a
-    // fresh connection reproduces the serial reference exactly.
+    // Re-scoring on a fresh connection reproduces a fresh Evaluator:
+    // no aborted layer left a partial or poisoned entry behind.
     Expected<Socket> again = harness.connect();
     ASSERT_TRUE(again.ok());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        Request score;
-        score.type = MsgType::ScoreConfig;
-        score.workload = "alexnet";
-        score.config = configs[i];
-        Expected<Response> reply = roundTrip(again.value(), score);
+        SCOPED_TRACE(i);
+        Expected<Response> reply =
+            roundTrip(again.value(), scoreRequest(configs[i]));
         ASSERT_TRUE(reply.ok());
-        EXPECT_EQ(reply.value().status, Status::Ok);
-        EXPECT_EQ(reply.value().edp, expected[i].edp);
-        EXPECT_EQ(reply.value().latencyCycles,
-                  expected[i].latencyCycles);
+        expectMatchesEvaluator(reply.value(), expected[i]);
     }
 }
 

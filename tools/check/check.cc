@@ -355,25 +355,6 @@ const std::vector<BannedCall> bannedSocketCalls = {
     {"getsockname", "serve::boundPort()", socketCallFiles},
 };
 
-/**
- * The coalescing entry point is confined to the ScoreBatcher: a
- * serve handler dispatching its own evaluateConfigBatch() call
- * reintroduces exactly the per-request evaluator traffic the batcher
- * exists to coalesce (and silently skips its deadline/fault
- * semantics). Member calls count here — the call is the problem, not
- * the qualifier — so this is a separate check from the socket ban.
- */
-const std::string batchEntryName = "evaluateConfigBatch";
-
-const std::vector<std::string> batchEntryFiles = {
-    "src/serve/batcher.cc",
-};
-
-const std::vector<std::string> batchConfinedDirs = {
-    "src/serve/",
-    "tests/lint/",
-};
-
 /** Identifiers banned regardless of a following '('. */
 struct BannedToken
 {
@@ -544,22 +525,6 @@ checkBannedIdentifiers(const std::string &relPath,
                        ban.instead + "; raw sockets live only in "
                        "src/serve/net.cc)");
         }
-        if (t.text == batchEntryName &&
-            pathInDirs(relPath, batchConfinedDirs) &&
-            !pathAllowed(relPath, batchEntryFiles) &&
-            i + 1 < tokens.size() &&
-            tokens[i + 1].kind == Token::Kind::Punct &&
-            tokens[i + 1].text == "(" &&
-            // `int evaluateConfigBatch(` is a declaration, not a
-            // dispatch (`return evaluateConfigBatch(` still is).
-            !(i > 0 && tokens[i - 1].kind == Token::Kind::Ident &&
-              tokens[i - 1].text != "return"))
-            report(relPath, t.line,
-                   "direct '" + batchEntryName +
-                       "' call in the serve tree (route ScoreConfig "
-                       "scoring through serve::ScoreBatcher; the "
-                       "coalescing entry point lives only in "
-                       "src/serve/batcher.cc)");
         if (!policy.allowStreams)
             for (const BannedToken &ban : bannedStreams)
                 if (t.text == ban.name)
